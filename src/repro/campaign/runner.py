@@ -113,7 +113,7 @@ class _ServerTarget(_Target):
     async def aclose(self) -> None:
         self._server.close()
         await self._server.wait_closed()
-        self.service.close_connections()
+        await self.service.frontend.aclose()
         if self.service.tracer is not None:
             self.service.tracer.close()
 

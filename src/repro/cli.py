@@ -233,6 +233,106 @@ def _build_tracer(args, component: str):
         raise CLIError(str(exc)) from None
 
 
+def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
+    """Serving knobs shared by serve and fleet (a fleet hands each one to
+    every worker); :func:`_check_serving_flags` cross-checks them."""
+    parser.add_argument("--store", default=None,
+                        help="model registry directory (enables OPEN with "
+                             "a model= spec)")
+    parser.add_argument("--model", default=None,
+                        help="default registry spec for sessions that "
+                             "don't name one (needs --store)")
+    parser.add_argument("--checkpoint-dir", default=None,
+                        dest="checkpoint_dir",
+                        help="periodically snapshot live sessions here; a "
+                             "fleet's workers share it for resume-based "
+                             "failover")
+    parser.add_argument("--checkpoint-every-s", type=float, default=None,
+                        dest="checkpoint_every_s",
+                        help="seconds between checkpoint passes")
+    parser.add_argument("--tenant-config", default=None,
+                        dest="tenant_config",
+                        help="JSON tenancy config: shared base models and "
+                             "per-tenant quotas, which a fleet's gateway "
+                             "also admits against fleet-wide (needs --store)")
+    parser.add_argument("--memory-budget-mb", type=_positive_int,
+                        default=None, dest="memory_budget_mb",
+                        help="per-server cap on accounted model bytes; idle "
+                             "sessions are evicted to --checkpoint-dir "
+                             "(overrides the config file's "
+                             "memory_budget_bytes)")
+    parser.add_argument("--max-sessions", type=int, default=1024,
+                        dest="max_sessions",
+                        help="live-session ceiling per server")
+    parser.add_argument("--max-inflight", type=_positive_int, default=None,
+                        dest="max_inflight",
+                        help="admission watermark (a fleet applies it at the "
+                             "gateway and every worker): shed new OPENs with "
+                             "error=overloaded while this many requests are "
+                             "in flight")
+    parser.add_argument("--brownout", action="store_true",
+                        help="enable the event-loop-lag watchdog that "
+                             "degrades service tier by tier under "
+                             "sustained overload")
+
+
+def _check_serving_flags(args):
+    """Cross-check the flags of :func:`_add_serving_flags`.
+
+    Returns ``(store, tenant_config, memory_budget_bytes)``: the opened
+    model store (``None`` without ``--store``), the parsed tenancy config
+    and the effective byte budget, where the flag wins over the config
+    file's.  Every mistake is a one-line :class:`CLIError`, raised before
+    anything binds or spawns.
+    """
+    if args.model is not None and args.store is None:
+        raise CLIError("--model needs --store DIR")
+    if (args.checkpoint_dir is None) != (args.checkpoint_every_s is None):
+        raise CLIError(
+            "checkpointing needs both --checkpoint-dir and "
+            "--checkpoint-every-s"
+        )
+    if args.checkpoint_every_s is not None and args.checkpoint_every_s <= 0:
+        raise CLIError("--checkpoint-every-s must be positive")
+    if args.tenant_config is not None and args.store is None:
+        raise CLIError(
+            "--tenant-config needs --store DIR "
+            "(tenant base models live in the registry)"
+        )
+    store = None
+    if args.store is not None:
+        from repro.store import ModelStore
+        from repro.store.codec import SnapshotError
+
+        store = ModelStore(args.store)
+        if args.model is not None:
+            try:
+                store.resolve(args.model)  # fail fast, before binding
+            except SnapshotError as exc:
+                raise CLIError(str(exc)) from None
+    tenant_config = None
+    memory_budget_bytes = None
+    if args.tenant_config is not None:
+        from repro.tenancy.config import (
+            TenancyConfigError,
+            load_tenancy_config,
+        )
+
+        try:
+            tenant_config = load_tenancy_config(args.tenant_config)
+        except TenancyConfigError as exc:
+            raise CLIError(str(exc)) from None
+        memory_budget_bytes = tenant_config.memory_budget_bytes
+    if args.memory_budget_mb is not None:
+        memory_budget_bytes = args.memory_budget_mb * 1024 * 1024
+    if memory_budget_bytes is not None and args.checkpoint_dir is None:
+        raise CLIError(
+            "a memory budget needs --checkpoint-dir "
+            "(evicted sessions are checkpointed to disk)"
+        )
+    return store, tenant_config, memory_budget_bytes
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Scheduler knobs shared by simulate/sweep/report."""
     parser.add_argument(
@@ -456,56 +556,12 @@ def cmd_serve(args) -> int:
 
     from repro.service.server import PrefetchService, ServiceLimits, serve_forever
 
-    store = None
-    default_model = None
-    if args.model is not None and args.store is None:
-        raise CLIError("--model needs --store DIR")
-    if (args.checkpoint_dir is None) != (args.checkpoint_every_s is None):
-        raise CLIError(
-            "checkpointing needs both --checkpoint-dir and "
-            "--checkpoint-every-s"
-        )
-    if args.checkpoint_every_s is not None and args.checkpoint_every_s <= 0:
-        raise CLIError("--checkpoint-every-s must be positive")
-    if args.store is not None:
-        from repro.store import ModelStore
-        from repro.store.codec import SnapshotError
-
-        store = ModelStore(args.store)
-        if args.model is not None:
-            try:
-                store.resolve(args.model)  # fail fast, before binding
-            except SnapshotError as exc:
-                raise CLIError(str(exc)) from None
-            default_model = args.model
+    store, tenant_config, memory_budget_bytes = _check_serving_flags(args)
     tenancy = None
-    memory_budget_bytes = None
-    if args.tenant_config is not None:
-        if store is None:
-            raise CLIError(
-                "--tenant-config needs --store DIR "
-                "(tenant base models live in the registry)"
-            )
-        from repro.tenancy.config import (
-            TenancyConfigError,
-            load_tenancy_config,
-        )
+    if tenant_config is not None:
         from repro.tenancy.manager import TenancyManager
 
-        try:
-            tenant_config = load_tenancy_config(args.tenant_config)
-        except TenancyConfigError as exc:
-            raise CLIError(str(exc)) from None
         tenancy = TenancyManager(store, tenant_config)
-        memory_budget_bytes = tenant_config.memory_budget_bytes
-    if args.memory_budget_mb is not None:
-        # The flag wins over the config file's memory_budget_bytes.
-        memory_budget_bytes = args.memory_budget_mb * 1024 * 1024
-    if memory_budget_bytes is not None and args.checkpoint_dir is None:
-        raise CLIError(
-            "a memory budget needs --checkpoint-dir "
-            "(evicted sessions are checkpointed to disk)"
-        )
     overload = None
     if args.max_inflight is not None or args.brownout:
         from repro.service.overload import OverloadPolicy
@@ -527,7 +583,7 @@ def cmd_serve(args) -> int:
             request_timeout_s=args.request_timeout_s,
         ),
         store=store,
-        default_model=default_model,
+        default_model=args.model,
         checkpoint_dir=args.checkpoint_dir,
         identity=args.worker_id,
         tenancy=tenancy,
@@ -561,7 +617,7 @@ def cmd_serve(args) -> int:
         f"overload_rejections={service.metrics.overload_rejections} "
         f"brownout_transitions={service.metrics.brownout_transitions} "
         f"checkpoints_deleted={service.metrics.checkpoints_deleted} "
-        f"uptime_s={time.monotonic() - service.started_at:.3f} "
+        f"uptime_s={time.monotonic() - service.frontend.started_at:.3f} "
         f"proto_version={service_protocol.PROTOCOL_VERSION} "
         f"pid={os.getpid()}",
         flush=True,
@@ -574,17 +630,7 @@ def cmd_fleet(args) -> int:
 
     from repro.cluster.fleet import serve_fleet
 
-    if args.model is not None and args.store is None:
-        raise CLIError("--model needs --store DIR")
-    if args.tenant_config is not None and args.store is None:
-        raise CLIError("--tenant-config needs --store DIR")
-    if (args.checkpoint_dir is None) != (args.checkpoint_every_s is None):
-        raise CLIError(
-            "checkpointing needs both --checkpoint-dir and "
-            "--checkpoint-every-s"
-        )
-    if args.checkpoint_every_s is not None and args.checkpoint_every_s <= 0:
-        raise CLIError("--checkpoint-every-s must be positive")
+    _check_serving_flags(args)
     try:
         asyncio.run(serve_fleet(
             args.host, args.port,
@@ -981,23 +1027,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7199)
-    p_serve.add_argument("--max-sessions", type=int, default=1024,
-                         dest="max_sessions",
-                         help="live-session ceiling across all connections")
+    _add_serving_flags(p_serve)
     p_serve.add_argument("--max-sessions-per-conn", type=int, default=64,
                          dest="max_sessions_per_conn")
-    p_serve.add_argument("--store", default=None,
-                         help="model registry directory (enables OPEN with "
-                              "a model= spec)")
-    p_serve.add_argument("--model", default=None,
-                         help="default registry spec for sessions that "
-                              "don't name one (needs --store)")
-    p_serve.add_argument("--checkpoint-dir", default=None,
-                         dest="checkpoint_dir",
-                         help="periodically snapshot live sessions here")
-    p_serve.add_argument("--checkpoint-every-s", type=float, default=None,
-                         dest="checkpoint_every_s",
-                         help="seconds between checkpoint passes")
     p_serve.add_argument("--idle-timeout-s", type=float, default=300.0,
                          dest="idle_timeout_s",
                          help="drop connections silent for this long "
@@ -1010,24 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fleet identity (e.g. w2): reported by "
                               "server-level STATS and prefixed onto "
                               "generated session ids")
-    p_serve.add_argument("--tenant-config", default=None,
-                         dest="tenant_config",
-                         help="JSON tenancy config: shared base models and "
-                              "per-tenant quotas (needs --store)")
-    p_serve.add_argument("--memory-budget-mb", type=_positive_int,
-                         default=None, dest="memory_budget_mb",
-                         help="cap accounted model bytes; idle sessions "
-                              "are evicted to --checkpoint-dir (overrides "
-                              "the config file's memory_budget_bytes)")
-    p_serve.add_argument("--max-inflight", type=_positive_int, default=None,
-                         dest="max_inflight",
-                         help="admission watermark: shed new OPENs with "
-                              "error=overloaded while this many requests "
-                              "are in flight")
-    p_serve.add_argument("--brownout", action="store_true",
-                         help="enable the event-loop-lag watchdog that "
-                              "degrades service tier by tier under "
-                              "sustained overload")
     _add_trace_flags(p_serve)
     p_serve.add_argument("--profile", action="store_true",
                          help="time engine hot-path stages and print a "
@@ -1044,38 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gateway port clients connect to")
     p_fleet.add_argument("--workers", type=_positive_int, default=2,
                          help="advisory worker subprocesses to supervise")
-    p_fleet.add_argument("--checkpoint-dir", default=None,
-                         dest="checkpoint_dir",
-                         help="shared checkpoint directory; enables "
-                              "resume-based failover when a worker dies")
-    p_fleet.add_argument("--checkpoint-every-s", type=float, default=None,
-                         dest="checkpoint_every_s",
-                         help="seconds between worker checkpoint passes")
-    p_fleet.add_argument("--store", default=None,
-                         help="model registry directory handed to every "
-                              "worker")
-    p_fleet.add_argument("--model", default=None,
-                         help="default registry spec for every worker "
-                              "(needs --store)")
-    p_fleet.add_argument("--tenant-config", default=None,
-                         dest="tenant_config",
-                         help="JSON tenancy config handed to every worker; "
-                              "the gateway admits against the same quotas "
-                              "fleet-wide (needs --store)")
-    p_fleet.add_argument("--memory-budget-mb", type=_positive_int,
-                         default=None, dest="memory_budget_mb",
-                         help="per-worker cap on accounted model bytes")
-    p_fleet.add_argument("--max-sessions", type=int, default=1024,
-                         dest="max_sessions",
-                         help="per-worker live-session ceiling")
-    p_fleet.add_argument("--max-inflight", type=_positive_int, default=None,
-                         dest="max_inflight",
-                         help="admission watermark applied at the gateway "
-                              "and every worker: new OPENs are shed with "
-                              "error=overloaded past it")
-    p_fleet.add_argument("--brownout", action="store_true",
-                         help="enable every worker's event-loop-lag "
-                              "brownout watchdog")
+    _add_serving_flags(p_fleet)
     p_fleet.add_argument("--vnodes", type=_positive_int, default=64,
                          help="virtual nodes per worker on the hash ring")
     p_fleet.add_argument("--probe-interval-s", type=float, default=1.0,

@@ -79,7 +79,8 @@ class Fleet:
 
     async def metrics(self) -> Tuple[ServiceMetrics, Dict[str, Any]]:
         """Merged worker metrics: ``(fleet totals, per-worker dicts)``."""
-        return await self.gateway.fleet_metrics()
+        totals, per_worker, _ = await self.gateway.fleet_metrics()
+        return totals, per_worker
 
     def summary(self) -> str:
         """The greppable one-line shutdown summary (see module docstring)."""
@@ -108,7 +109,7 @@ class Fleet:
         # Collect worker counters (evictions, worker-side rejections) for
         # the summary while the workers are still up.
         try:
-            totals, _ = await self.gateway.fleet_metrics()
+            totals, _, _ = await self.gateway.fleet_metrics()
             self.sessions_evicted = totals.sessions_evicted
             self.worker_tenants_rejected = totals.tenants_rejected
             self.worker_overload_rejections = totals.overload_rejections
@@ -220,52 +221,26 @@ async def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 7199,
     *,
-    workers: int = 2,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_s: Optional[float] = None,
-    store: Optional[str] = None,
-    model: Optional[str] = None,
-    tenant_config: Optional[str] = None,
-    memory_budget_mb: Optional[int] = None,
-    max_sessions: int = 1024,
-    max_inflight: Optional[int] = None,
-    brownout: bool = False,
-    vnodes: int = DEFAULT_VNODES,
-    probe_interval_s: float = 1.0,
-    trace_dir: Optional[str] = None,
-    trace_sample: float = 1.0,
-    trace_seed: int = 0,
     ready_message: bool = True,
+    **fleet_kwargs: Any,
 ) -> None:
-    """Run gateway + supervised workers until SIGTERM/SIGINT/cancel."""
+    """Run gateway + supervised workers until SIGTERM/SIGINT/cancel.
+
+    ``fleet_kwargs`` are :func:`start_fleet`'s keyword arguments.
+    """
 
     def _say(message: str) -> None:
         if ready_message:
             print(message, flush=True)
 
     fleet = await start_fleet(
-        host, port,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every_s=checkpoint_every_s,
-        store=store,
-        model=model,
-        tenant_config=tenant_config,
-        memory_budget_mb=memory_budget_mb,
-        max_sessions=max_sessions,
-        max_inflight=max_inflight,
-        brownout=brownout,
-        vnodes=vnodes,
-        probe_interval_s=probe_interval_s,
-        trace_dir=trace_dir,
-        trace_sample=trace_sample,
-        trace_seed=trace_seed,
-        echo=_say if ready_message else None,
+        host, port, echo=_say if ready_message else None, **fleet_kwargs
     )
     try:
         _say(
             f"repro.gateway listening on {host}:{fleet.port} "
-            f"(protocol v{protocol.PROTOCOL_VERSION}, workers={workers})"
+            f"(protocol v{protocol.PROTOCOL_VERSION}, "
+            f"workers={len(fleet.supervisor.workers)})"
         )
         stop_requested = asyncio.Event()
         loop = asyncio.get_running_loop()

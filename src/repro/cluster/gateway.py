@@ -28,9 +28,10 @@ only when even that is impossible.  Journals grow with session length
 (one int per observation); bounded-memory operation comes from clients
 closing sessions, same as the worker's own session table.
 
-Ordering and backpressure mirror the worker: one request at a time per
-client connection, every reply drained before the next read, per-session
-locks serializing cross-connection access and failover.
+Client connections are served by the worker's own
+:class:`~repro.service.frontend.RequestFrontend`: one request at a time
+per connection.  Per-session locks serialize cross-connection access and
+failover.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import itertools
 import os
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,6 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.worker import WorkerDirectory
 from repro.service import protocol
+from repro.service.frontend import (
+    RequestFrontend,
+    open_trace,
+    stats_format_error,
+    unknown_session,
+)
 from repro.service.metrics import _COUNTER_FIELDS, ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -98,26 +105,10 @@ class GatewayStats:
     breakers_opened: int = 0
     breakers_closed: int = 0
     journal_compactions: int = 0
+    timeouts: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "connections_opened": self.connections_opened,
-            "connections_closed": self.connections_closed,
-            "sessions_opened": self.sessions_opened,
-            "sessions_resumed": self.sessions_resumed,
-            "sessions_reattached": self.sessions_reattached,
-            "sessions_closed": self.sessions_closed,
-            "sessions_orphaned": self.sessions_orphaned,
-            "failovers_resumed": self.failovers_resumed,
-            "failovers_degraded": self.failovers_degraded,
-            "sessions_lost": self.sessions_lost,
-            "tenants_rejected": self.tenants_rejected,
-            "errors": self.errors,
-            "overload_rejections": self.overload_rejections,
-            "breakers_opened": self.breakers_opened,
-            "breakers_closed": self.breakers_closed,
-            "journal_compactions": self.journal_compactions,
-        }
+        return asdict(self)
 
 
 class _Conn:
@@ -170,12 +161,17 @@ class _WorkerLink:
             asyncio.open_connection(host, port, limit=self._limit),
             self._timeout_s,
         )
-        banner = await asyncio.wait_for(reader.readline(), self._timeout_s)
-        if not banner:
-            writer.close()
-            raise ConnectionError(
-                f"worker {self.worker_id} closed during HELLO"
+        try:
+            banner = await asyncio.wait_for(
+                reader.readline(), self._timeout_s
             )
+            if not banner:
+                raise ConnectionError(
+                    f"worker {self.worker_id} closed during HELLO"
+                )
+        except BaseException:
+            writer.close()
+            raise
         conn = _Conn(reader, writer)
         conn.task = asyncio.ensure_future(self._read_loop(conn))
         return conn
@@ -250,8 +246,9 @@ class _WorkerLink:
                 f"worker {self.worker_id} timed out"
             ) from None
 
-    async def aclose(self) -> None:
-        self.invalidate()
+
+def _no_live_workers(request: Request) -> Tuple[None, ErrorReply]:
+    return None, ErrorReply(request.id, protocol.E_LIMIT, "no live workers")
 
 
 class _GatewaySession:
@@ -339,7 +336,6 @@ class AdvisoryGateway:
         keeps it iff sampled, and injects it into the forwarded OPEN so
         the worker's spans join the same trace.  ``None`` = one falsy
         check per request."""
-        self.started_at = time.monotonic()
         self.tenant_config = tenant_config
         """Fleet-wide tenant quotas; the same config's per-tenant limits are
         also enforced per worker, but the gateway sees the whole fleet and
@@ -353,7 +349,8 @@ class AdvisoryGateway:
         self.overload = AdmissionGuard(overload)
         """Fleet-front admission: the gateway sheds new OPENs before they
         reach any worker, so a flood costs one gateway-side refusal rather
-        than a placement round trip (see :meth:`_shed_reply`)."""
+        than a placement round trip (see
+        :meth:`~repro.service.frontend.RequestFrontend.shed_reply`)."""
         self.breaker_policy = breaker or BreakerPolicy()
         self._breaker_clock = breaker_clock
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -363,7 +360,6 @@ class AdvisoryGateway:
         already covers (see :meth:`_compact_journal`)."""
         self.journal_compact_after = journal_compact_after
         self.request_timeout_s = request_timeout_s
-        self.idle_timeout_s = idle_timeout_s
         self.max_line_bytes = max_line_bytes
         self.max_orphaned = max_orphaned
         self.on_route = on_route
@@ -372,8 +368,19 @@ class AdvisoryGateway:
         self._links: Dict[str, _WorkerLink] = {}
         self._ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
         self._background: Set[asyncio.Task] = set()
+        self.frontend = RequestFrontend(
+            "gateway", self._dispatch,
+            hello=HelloReply(id=0, server="repro.gateway"),
+            counters=self.stats,
+            on_disconnect=self._orphan_sessions,
+            overload=self.overload,
+            max_line_bytes=max_line_bytes,
+            idle_timeout_s=idle_timeout_s,
+            request_timeout_s=request_timeout_s,
+            tracer=tracer,
+            trace_of=self._request_trace,
+        )
         directory.add_listener(self._on_membership)
 
     # -------------------------------------------------------------- wiring
@@ -425,9 +432,7 @@ class AdvisoryGateway:
         # The breaker just tripped: every session pinned to this worker
         # would now fail fast, so move them to ring successors eagerly —
         # the same treatment a directory down-event gets.
-        for session in list(self.sessions.values()):
-            if session.worker_id == worker_id and not session.closed:
-                self._spawn(self._failover_task(session, worker_id))
+        self._fail_over_all(worker_id)
 
     async def _worker_call(
         self, worker_id: str, request: Request
@@ -477,6 +482,9 @@ class AdvisoryGateway:
         self.ring.remove(worker_id)
         # Eager failover: don't wait for the next client request to
         # discover the death — move the dead worker's sessions now.
+        self._fail_over_all(worker_id)
+
+    def _fail_over_all(self, worker_id: str) -> None:
         for session in list(self.sessions.values()):
             if session.worker_id == worker_id and not session.closed:
                 self._spawn(self._failover_task(session, worker_id))
@@ -497,9 +505,7 @@ class AdvisoryGateway:
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.AbstractServer:
-        self._server = await asyncio.start_server(
-            self.handle_connection, host, port, limit=self.max_line_bytes,
-        )
+        self._server = await self.frontend.start(host, port)
         return self._server
 
     async def aclose(self) -> None:
@@ -507,38 +513,30 @@ class AdvisoryGateway:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Client handlers first: their teardown orphans sessions and may
+        # spawn background closes, which the next step cancels.
+        await self.frontend.aclose()
         for task in list(self._background):
             task.cancel()
         if self._background:
             await asyncio.gather(*self._background, return_exceptions=True)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
         for link in self._links.values():
-            await link.aclose()
+            link.invalidate()
         self._links.clear()
         if self.tracer is not None:
             self.tracer.close()
 
     # ------------------------------------------------------------ upstream
 
-    async def _rpc(self, link: _WorkerLink, request: Request) -> Reply:
-        """Typed round trip on a link; garbage replies kill the link."""
-        _, reply = await self._worker_call(link.worker_id, request)
-        return reply
-
     async def _forward(
         self, session: _GatewaySession, request: Request
     ) -> Tuple[bytes, Reply]:
         """Forward on the session's worker, failing over once if it died."""
         try:
-            raw, reply = await self._forward_once(session, request)
+            raw, reply = await self._worker_call(session.worker_id, request)
         except (ConnectionError, OSError):
-            failed = session.worker_id
-            await self._failover(session, exclude={failed})
-            return await self._forward_once(session, request)
+            await self._failover(session, exclude={session.worker_id})
+            return await self._worker_call(session.worker_id, request)
         if (
             isinstance(reply, ErrorReply)
             and reply.error == protocol.E_UNKNOWN_SESSION
@@ -549,13 +547,8 @@ class AdvisoryGateway:
             # dir, so failover (NOT excluding the current worker) can
             # resume it in place.
             await self._failover(session, exclude=set())
-            return await self._forward_once(session, request)
+            return await self._worker_call(session.worker_id, request)
         return raw, reply
-
-    async def _forward_once(
-        self, session: _GatewaySession, request: Request
-    ) -> Tuple[bytes, Reply]:
-        return await self._worker_call(session.worker_id, request)
 
     async def _failover(
         self, session: _GatewaySession, *, exclude: Set[str]
@@ -577,9 +570,8 @@ class AdvisoryGateway:
             session.open_request, id=0, resume=sid, session_id=sid,
         )
         for worker_id in self.ring.preference(sid, exclude=exclude):
-            link = self._link(worker_id)
             try:
-                reply = await self._rpc(link, resume)
+                _, reply = await self._worker_call(worker_id, resume)
                 if (
                     isinstance(reply, ErrorReply)
                     and reply.error == protocol.E_SESSION_ERROR
@@ -589,7 +581,7 @@ class AdvisoryGateway:
                     # reset hasn't detached it yet; give the worker a
                     # beat to notice, then retry once.
                     await asyncio.sleep(0.05)
-                    reply = await self._rpc(link, resume)
+                    _, reply = await self._worker_call(worker_id, resume)
             except (ConnectionError, OSError):
                 continue  # this candidate is down too: keep walking
             if isinstance(reply, OpenReply):
@@ -598,7 +590,7 @@ class AdvisoryGateway:
                     break  # checkpoint predates our journal: gap
                 if period > session.next_seq + 1:
                     break  # checkpoint from a future we never saw
-                if await self._replay_tail(link, session, period):
+                if await self._replay_tail(worker_id, session, period):
                     session.worker_id = worker_id
                     self.stats.failovers_resumed += 1
                     self._trace_failover(session, started_s, prior_worker)
@@ -619,7 +611,7 @@ class AdvisoryGateway:
                 # the checkpoint dir is shared, so no other worker would
                 # find one either.  Rebuild from the gateway journal.
                 resumed_clean = len(session.journal) == 0
-                if await self._reopen_degraded(link, session):
+                if await self._reopen_degraded(worker_id, session):
                     session.worker_id = worker_id
                     if resumed_clean:
                         self.stats.failovers_resumed += 1
@@ -653,14 +645,14 @@ class AdvisoryGateway:
         )
 
     async def _replay_tail(
-        self, link: _WorkerLink, session: _GatewaySession, period: int
+        self, worker_id: str, session: _GatewaySession, period: int
     ) -> bool:
         """Re-fold journal entries past ``period``; False on any miss."""
         start = period - session.journal_offset
         for i in range(max(0, start), len(session.journal)):
             seq = session.journal_offset + i
             try:
-                reply = await self._rpc(link, ObserveRequest(
+                _, reply = await self._worker_call(worker_id, ObserveRequest(
                     id=0, session=session.sid,
                     block=session.journal[i], seq=seq,
                 ))
@@ -710,7 +702,7 @@ class AdvisoryGateway:
             self._truncate_journal(session, period)
 
     async def _reopen_degraded(
-        self, link: _WorkerLink, session: _GatewaySession
+        self, worker_id: str, session: _GatewaySession
     ) -> bool:
         """No checkpoint anywhere: rebuild the session from the journal.
 
@@ -731,12 +723,12 @@ class AdvisoryGateway:
                 session_id=session.sid,
             )
         try:
-            reply = await self._rpc(link, reopen)
+            _, reply = await self._worker_call(worker_id, reopen)
         except (ConnectionError, OSError):
             return False
         if not isinstance(reply, OpenReply):
             return False
-        if not await self._replay_tail(link, session, 0):
+        if not await self._replay_tail(worker_id, session, 0):
             return False
         if session.journal:
             session.degraded = True
@@ -798,38 +790,14 @@ class AdvisoryGateway:
         if now - stamp < self.tenant_poll_interval_s:
             return cached
         totals: Dict[str, int] = {}
-        for worker_id in sorted(self.directory.endpoints()):
-            try:
-                reply = await self._rpc(
-                    self._link(worker_id), StatsRequest(id=0, session=None)
-                )
-            except (ConnectionError, OSError):
-                continue
-            if not isinstance(reply, StatsReply):
-                continue
-            for name, gauge in dict(reply.stats.get("tenants") or {}).items():
+        _, _, worker_stats = await self.fleet_metrics()
+        for stats in worker_stats.values():
+            for name, gauge in dict(stats.get("tenants") or {}).items():
                 totals[name] = (
                     totals.get(name, 0) + int(gauge.get("model_bytes", 0))
                 )
         self._tenant_bytes_cache = (now, totals)
         return totals
-
-    def _trace_for_open(
-        self, request: OpenRequest, sid: str
-    ) -> Optional[str]:
-        """Trace id for the session named ``sid``, or ``None`` (unsampled).
-
-        A client-supplied id is adopted verbatim — the client already made
-        the sampling decision.  Otherwise the gateway mints a deterministic
-        id from the session id it just assigned, so a resume of the same
-        session re-derives the same id and failover lineage is free.
-        """
-        if self.tracer is None:
-            return None
-        if request.trace is not None:
-            return request.trace
-        trace_id = self.tracer.new_trace_id(sid)
-        return trace_id if self.tracer.sampled(trace_id) else None
 
     async def _handle_open(
         self, request: OpenRequest, owned: Set[str]
@@ -849,7 +817,7 @@ class AdvisoryGateway:
                 "session_id is reserved for gateway-to-worker use",
             )
         sid = f"g{next(self._ids)}"
-        trace_id = self._trace_for_open(request, sid)
+        trace_id = open_trace(self.tracer, sid, request.trace)
         t0 = time.perf_counter() if trace_id is not None else 0.0
         worker_id = self.ring.owner(sid, exclude=self._tripped())
         if trace_id is not None:
@@ -859,12 +827,10 @@ class AdvisoryGateway:
                 session=sid, worker=worker_id,
             )
         if worker_id is None:
-            return None, ErrorReply(
-                request.id, protocol.E_LIMIT, "no live workers"
-            )
+            return _no_live_workers(request)
         forward = replace(request, session_id=sid, trace=trace_id)
         try:
-            raw, reply = await self._forward_on(worker_id, forward)
+            raw, reply = await self._worker_call(worker_id, forward)
         except (ConnectionError, OSError):
             # Worker died under the OPEN: no session state exists yet
             # anywhere, so just place it on the next node instead.
@@ -872,27 +838,30 @@ class AdvisoryGateway:
                 sid, exclude={worker_id} | self._tripped()
             )
             if worker_id is None:
-                return None, ErrorReply(
-                    request.id, protocol.E_LIMIT, "no live workers"
-                )
-            raw, reply = await self._forward_on(worker_id, forward)
+                return _no_live_workers(request)
+            raw, reply = await self._worker_call(worker_id, forward)
         if isinstance(reply, OpenReply):
-            session = _GatewaySession(
-                sid, worker_id, forward,
-                policy_name=reply.policy, cache_size=reply.cache_size,
-                journal_offset=reply.period,
-            )
-            self.sessions[sid] = session
-            owned.add(sid)
+            self._route(sid, worker_id, forward, reply, owned)
             self.stats.sessions_opened += 1
-            if self.on_route is not None:
-                self.on_route(sid, worker_id)
         return raw, reply
 
-    async def _forward_on(
-        self, worker_id: str, request: Request
-    ) -> Tuple[bytes, Reply]:
-        return await self._worker_call(worker_id, request)
+    def _route(
+        self,
+        sid: str,
+        worker_id: str,
+        open_request: OpenRequest,
+        reply: OpenReply,
+        owned: Set[str],
+    ) -> None:
+        """Record a session the worker just opened for this connection."""
+        self.sessions[sid] = _GatewaySession(
+            sid, worker_id, open_request,
+            policy_name=reply.policy, cache_size=reply.cache_size,
+            journal_offset=reply.period,
+        )
+        owned.add(sid)
+        if self.on_route is not None:
+            self.on_route(sid, worker_id)
 
     async def _handle_resume(
         self, request: OpenRequest, owned: Set[str]
@@ -920,27 +889,19 @@ class AdvisoryGateway:
         # table / the shared checkpoint directory.
         worker_id = self.ring.owner(sid)
         if worker_id is None:
-            return None, ErrorReply(
-                request.id, protocol.E_LIMIT, "no live workers"
-            )
+            return _no_live_workers(request)
         # A resume re-derives the same deterministic trace id the session
         # was minted with, so its spans join the original trace.
         forward = replace(
             request, session_id=sid,
-            trace=self._trace_for_open(request, sid),
+            trace=open_trace(self.tracer, sid, request.trace),
         )
-        raw, reply = await self._forward_on(worker_id, forward)
+        raw, reply = await self._worker_call(worker_id, forward)
         if isinstance(reply, OpenReply):
-            session = _GatewaySession(
-                sid, worker_id, replace(forward, resume=None),
-                policy_name=reply.policy, cache_size=reply.cache_size,
-                journal_offset=reply.period,
+            self._route(
+                sid, worker_id, replace(forward, resume=None), reply, owned
             )
-            self.sessions[sid] = session
-            owned.add(sid)
             self.stats.sessions_resumed += 1
-            if self.on_route is not None:
-                self.on_route(sid, worker_id)
         return raw, reply
 
     async def _handle_observe(
@@ -948,16 +909,10 @@ class AdvisoryGateway:
     ) -> Tuple[Optional[bytes], Reply]:
         session = self.sessions.get(request.session)
         if session is None or session.closed:
-            return None, ErrorReply(
-                request.id, protocol.E_UNKNOWN_SESSION,
-                f"unknown session {request.session!r}",
-            )
+            return None, unknown_session(request)
         async with session.lock:
             if session.closed:
-                return None, ErrorReply(
-                    request.id, protocol.E_UNKNOWN_SESSION,
-                    f"unknown session {request.session!r}",
-                )
+                return None, unknown_session(request)
             expected = session.next_seq
             if request.seq is None:
                 # Tag the fold so a failover replay (or a worker that
@@ -995,10 +950,7 @@ class AdvisoryGateway:
             return None, await self._fleet_stats(request)
         session = self.sessions.get(request.session)
         if session is None or session.closed:
-            return None, ErrorReply(
-                request.id, protocol.E_UNKNOWN_SESSION,
-                f"unknown session {request.session!r}",
-            )
+            return None, unknown_session(request)
         async with session.lock:
             raw, reply = await self._forward(session, request)
             if session.degraded and isinstance(reply, StatsReply):
@@ -1012,33 +964,23 @@ class AdvisoryGateway:
 
     async def fleet_metrics(
         self,
-    ) -> Tuple[ServiceMetrics, Dict[str, Any]]:
-        """Merge every worker's metrics: ``(fleet totals, per-worker)``.
-
-        Unreachable workers appear with ``None`` in the per-worker map.
-        Public so the fleet runner can fold worker counters (evictions,
-        tenant rejections) into its shutdown summary.
-        """
-        fleet, per_worker, _ = await self._collect_worker_stats()
-        return fleet, per_worker
-
-    async def _collect_worker_stats(
-        self,
     ) -> Tuple[ServiceMetrics, Dict[str, Any], Dict[str, Any]]:
         """One STATS poll of every worker.
 
         Returns ``(merged fleet metrics, per-worker metric dicts, raw
-        per-worker stats replies)``; the raw replies carry the gauges
-        (brownout level, inflight, live sessions) that the Prometheus
-        exposition labels per worker.
+        per-worker stats replies)``; unreachable workers map to ``None``
+        in the per-worker dicts.  The raw replies carry the gauges
+        (tenant bytes, brownout level, inflight, live sessions) that
+        quotas and the Prometheus exposition read.  Public so the fleet
+        runner can fold worker counters into its shutdown summary.
         """
         fleet = ServiceMetrics()
         per_worker: Dict[str, Any] = {}
         worker_stats: Dict[str, Any] = {}
         for worker_id in sorted(self.directory.endpoints()):
             try:
-                reply = await self._rpc(
-                    self._link(worker_id), StatsRequest(id=0, session=None)
+                _, reply = await self._worker_call(
+                    worker_id, StatsRequest(id=0, session=None)
                 )
             except (ConnectionError, OSError):
                 per_worker[worker_id] = None
@@ -1055,19 +997,13 @@ class AdvisoryGateway:
 
     async def _fleet_stats(self, request: StatsRequest) -> Reply:
         """Aggregate every worker's metrics into fleet totals."""
-        if request.format is not None and request.format != "prometheus":
-            return ErrorReply(
-                request.id, protocol.E_BAD_REQUEST,
-                f"unknown stats format {request.format!r} "
-                "(only 'prometheus' is defined)",
-            )
-        fleet, per_worker, worker_stats = await self._collect_worker_stats()
+        rejection = stats_format_error(request)
+        if rejection is not None:
+            return rejection
+        fleet, per_worker, worker_stats = await self.fleet_metrics()
         stats: Dict[str, Any] = {
             "server": "repro.gateway",
-            "protocol": protocol.PROTOCOL_VERSION,
-            "proto_version": protocol.PROTOCOL_VERSION,
-            "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "pid": os.getpid(),
+            **self.frontend.identity(),
             "workers": len(per_worker),
             "fleet": fleet.as_dict(),
             "per_worker": per_worker,
@@ -1092,16 +1028,15 @@ class AdvisoryGateway:
         """
         from repro.obs.prom import render_exposition
 
-        reserved = set(_COUNTER_FIELDS)
-        extra: Dict[str, int] = {}
-        for name, value in self.stats.as_dict().items():
-            key = f"gateway_{name}" if name in reserved else name
-            extra[key] = value
+        extra = {
+            (f"gateway_{name}" if name in _COUNTER_FIELDS else name): value
+            for name, value in self.stats.as_dict().items()
+        }
         gauges: List[Tuple[str, Optional[Dict[str, str]], Any]] = [
             ("workers_live", None, len(self.directory.endpoints())),
             ("inflight", {"component": "gateway"}, self.overload.inflight),
             ("uptime_s", {"component": "gateway"},
-             round(time.monotonic() - self.started_at, 3)),
+             self.frontend.identity()["uptime_s"]),
         ]
         for worker_id, stats in sorted(worker_stats.items()):
             labels = {"worker": worker_id}
@@ -1122,16 +1057,10 @@ class AdvisoryGateway:
     ) -> Tuple[Optional[bytes], Reply]:
         session = self.sessions.get(request.session)
         if session is None or session.closed:
-            return None, ErrorReply(
-                request.id, protocol.E_UNKNOWN_SESSION,
-                f"unknown session {request.session!r}",
-            )
+            return None, unknown_session(request)
         async with session.lock:
             if session.closed:
-                return None, ErrorReply(
-                    request.id, protocol.E_UNKNOWN_SESSION,
-                    f"unknown session {request.session!r}",
-                )
+                return None, unknown_session(request)
             raw, reply = await self._forward(session, request)
             if isinstance(reply, CloseReply):
                 session.closed = True
@@ -1140,27 +1069,6 @@ class AdvisoryGateway:
                 owned.discard(session.sid)
                 self.stats.sessions_closed += 1
             return raw, reply
-
-    def _shed_reply(self, request: Request) -> Optional[ErrorReply]:
-        """Admission check, mirroring the worker-side server's.
-
-        Only brand-new OPENs are shed: resumes and in-flight sessions
-        represent work (and journal/worker state) already paid for, so
-        refusing them would waste more than it saves.  The reply carries
-        ``retry_after_s`` so cooperative clients treat it as backpressure
-        rather than a fault.
-        """
-        if not isinstance(request, OpenRequest) or request.resume is not None:
-            return None
-        if not self.overload.shed_open():
-            return None
-        self.stats.overload_rejections += 1
-        retry_after = self.overload.policy.shed_retry_after_s
-        return ErrorReply(
-            request.id, protocol.E_OVERLOAD,
-            f"gateway overloaded; retry in {retry_after:g}s",
-            retry_after_s=retry_after,
-        )
 
     async def _dispatch(
         self, request: Request, owned: Set[str]
@@ -1185,114 +1093,10 @@ class AdvisoryGateway:
                 f"fleet unavailable: {exc}",
             )
 
-    # ----------------------------------------------------------- connection
-
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.stats.connections_opened += 1
-        owned: Set[str] = set()
-        self._writers.add(writer)
-
-        async def _drain() -> None:
-            await asyncio.wait_for(writer.drain(), self.request_timeout_s)
-
-        try:
-            writer.write(protocol.encode_reply(
-                HelloReply(id=0, server="repro.gateway")
-            ))
-            await _drain()
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout_s
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(protocol.encode_reply(ErrorReply(
-                        0, protocol.E_BAD_REQUEST, "request line too long",
-                    )))
-                    await _drain()
-                    self.stats.errors += 1
-                    break
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    request = protocol.decode_request(stripped)
-                except ProtocolError as exc:
-                    self.stats.errors += 1
-                    writer.write(protocol.encode_reply(
-                        ErrorReply(0, exc.code, str(exc))
-                    ))
-                    await _drain()
-                    continue
-                t_admit = (
-                    time.perf_counter() if self.tracer is not None else 0.0
-                )
-                shed = self._shed_reply(request)
-                if shed is not None:
-                    writer.write(protocol.encode_reply(shed))
-                    await _drain()
-                    continue
-                self.overload.begin()
-                try:
-                    t_begin = (
-                        time.perf_counter()
-                        if self.tracer is not None else 0.0
-                    )
-                    raw, reply = await self._dispatch(request, owned)
-                    # For an OPEN the trace id only exists after dispatch
-                    # (the gateway mints it with the session id), so both
-                    # connection-level spans resolve it here.
-                    trace_id = self._request_trace(request, reply)
-                    if trace_id is not None:
-                        self.tracer.record(
-                            trace_id, "gateway.admission",
-                            t_admit, t_begin - t_admit,
-                        )
-                    t_relay = (
-                        time.perf_counter() if trace_id is not None else 0.0
-                    )
-                    if raw is not None:
-                        writer.write(raw)  # worker reply, byte-for-byte
-                    else:
-                        writer.write(protocol.encode_reply(reply))
-                    await _drain()
-                    if trace_id is not None:
-                        self.tracer.record(
-                            trace_id, "gateway.reply_relay",
-                            t_relay, time.perf_counter() - t_relay,
-                        )
-                finally:
-                    self.overload.end()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except (asyncio.TimeoutError, TimeoutError):
-            pass
-        except asyncio.CancelledError:
-            pass  # teardown below still orphans this connection's sessions
-        finally:
-            self._writers.discard(writer)
-            self._orphan_sessions(owned)
-            self.stats.connections_closed += 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     def _request_trace(
         self, request: Request, reply: Optional[Reply]
     ) -> Optional[str]:
         """Resolve the trace id a finished request belongs to, if any."""
-        if self.tracer is None:
-            return None
         if isinstance(request, OpenRequest):
             sid = reply.session if isinstance(reply, OpenReply) else None
         else:
@@ -1332,26 +1136,9 @@ class AdvisoryGateway:
                 return
             session.closed = True
             try:
-                await self._rpc(
-                    self._link(session.worker_id),
+                await self._worker_call(
+                    session.worker_id,
                     protocol.CloseRequest(id=0, session=session.sid),
                 )
             except (ConnectionError, OSError):
                 pass  # its worker will reap it on its own timeout
-
-    # -------------------------------------------------------------- summary
-
-    def summary(self) -> str:
-        """One greppable line for CI and the fleet shutdown banner."""
-        stats = self.stats
-        return (
-            f"sessions_opened={stats.sessions_opened} "
-            f"sessions_closed={stats.sessions_closed} "
-            f"failovers_resumed={stats.failovers_resumed} "
-            f"failovers_degraded={stats.failovers_degraded} "
-            f"sessions_lost={stats.sessions_lost} "
-            f"tenants_rejected={stats.tenants_rejected} "
-            f"overload_rejections={stats.overload_rejections} "
-            f"breakers_opened={stats.breakers_opened} "
-            f"journal_compactions={stats.journal_compactions}"
-        )

@@ -267,7 +267,11 @@ class ServiceClient:
         # explicitly so every later recv/send is bounded too — a server
         # that accepts and then hangs must not wedge the caller forever.
         sock.settimeout(timeout)
-        return cls(sock)
+        try:
+            return cls(sock)
+        except BaseException:
+            sock.close()  # a silent or garbled HELLO must not leak it
+            raise
 
     def _rpc(self, request: Request, reply_type: Type[R]) -> R:
         try:

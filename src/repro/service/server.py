@@ -5,13 +5,10 @@ sessions (e.g. one per application being advised).  Sessions are isolated
 — every OPEN builds a fresh policy, prefetch tree, and cost-benefit
 estimator — and are torn down with the connection that opened them.
 
-Flow control is cooperative: requests on one connection are processed in
-order, every reply is ``drain()``-ed before the next request is read (so a
-slow reader backpressures its own pipeline, not the whole server), and the
-stream reader's line limit bounds per-connection buffering.  Session work
-itself is synchronous pure-Python; the event loop interleaves connections
-between requests, which is the right trade for a model-driven advisor
-whose per-request work is microseconds.
+Connections, flow control and admission belong to the shared
+:class:`~repro.service.frontend.RequestFrontend`.  Session work itself is
+synchronous pure-Python; the event loop interleaves connections between
+requests, the right trade when per-request work is microseconds.
 """
 
 from __future__ import annotations
@@ -35,6 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> session)
 
 from repro.params import PAPER_PARAMS, SystemParams
 from repro.service import protocol
+from repro.service.frontend import (
+    RequestFrontend,
+    open_trace,
+    stats_format_error,
+    unknown_session,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.overload import (
     AdmissionGuard,
@@ -51,7 +54,6 @@ from repro.service.protocol import (
     ObserveRequest,
     OpenReply,
     OpenRequest,
-    ProtocolError,
     Reply,
     Request,
     StatsReply,
@@ -142,7 +144,6 @@ class PrefetchService:
         Sessions opened with a ``trace`` field inherit that id (the
         gateway/client already made the sampling call); locally-opened
         sessions are head-sampled against the tracer's own seed."""
-        self.started_at = time.monotonic()
         #: Trace id per traced live session (a sparse subset of
         #: ``self.sessions`` under sampling).
         self._traces: Dict[str, str] = {}
@@ -153,7 +154,17 @@ class PrefetchService:
         self.evicted: Dict[str, Optional[str]] = {}
         self._session_ids = itertools.count(1)
         self._observes_since_budget_check = 0
-        self._writers: Set[asyncio.StreamWriter] = set()
+        limits = self.limits
+        self.frontend = RequestFrontend(
+            "server", self._dispatch,
+            hello=HelloReply(id=0, max_sessions=limits.max_sessions),
+            counters=self.metrics,
+            on_disconnect=self.drop_connection_sessions,
+            overload=self.overload,
+            max_line_bytes=limits.max_line_bytes,
+            idle_timeout_s=limits.idle_timeout_s,
+            request_timeout_s=limits.request_timeout_s,
+        )
 
     # ----------------------------------------------------------- dispatch
 
@@ -167,11 +178,8 @@ class PrefetchService:
                 reply = self._handle_observe(request)
             elif isinstance(request, StatsRequest):
                 reply = self._handle_stats(request)
-            elif isinstance(request, CloseRequest):
+            else:
                 reply = self._handle_close(request, owned)
-            else:  # pragma: no cover - decode_request guards this
-                reply = ErrorReply(request.id, protocol.E_BAD_REQUEST,
-                                   f"unhandled command {request!r}")
         except SessionError as exc:
             reply = ErrorReply(request.id, protocol.E_SESSION_ERROR, str(exc))
         if isinstance(reply, ErrorReply):
@@ -184,69 +192,46 @@ class PrefetchService:
             )
         return reply
 
-    def shed_reply(self, request: Request) -> Optional[ErrorReply]:
-        """The load-shedding decision for one decoded request.
-
-        Only *new* OPENs are sheddable — resumes recover work the server
-        already accepted, and OBSERVE/STATS/CLOSE act on admitted
-        sessions.  Returns the ``E_OVERLOAD`` reply to send (with the
-        policy's ``retry_after_s`` hint) or ``None`` to admit.  Shed
-        replies bypass :meth:`handle`, so they count as
-        ``overload_rejections``, not ``errors``: backoff, not fault.
-        """
-        if not isinstance(request, OpenRequest) or request.resume is not None:
-            return None
-        if not self.overload.shed_open():
-            return None
-        self.metrics.overload_rejections += 1
-        retry_after = self.overload.policy.shed_retry_after_s
-        return ErrorReply(
-            request.id, protocol.E_OVERLOAD,
-            f"server overloaded; retry in {retry_after:g}s",
-            retry_after_s=retry_after,
-        )
+    async def _dispatch(
+        self, request: Request, owned: Set[str]
+    ) -> Tuple[None, Reply]:
+        return None, self.handle(request, owned)
 
     def _handle_open(self, request: OpenRequest, owned: Set[str]) -> Reply:
         limits = self.limits
         if len(self.sessions) >= limits.max_sessions:
-            self.metrics.sessions_rejected += 1
-            return ErrorReply(
-                request.id, protocol.E_LIMIT,
+            return self._reject(
+                request, protocol.E_LIMIT,
                 f"server session limit reached ({limits.max_sessions})",
             )
         if len(owned) >= limits.max_sessions_per_connection:
-            self.metrics.sessions_rejected += 1
-            return ErrorReply(
-                request.id, protocol.E_LIMIT,
+            return self._reject(
+                request, protocol.E_LIMIT,
                 "connection session limit reached "
                 f"({limits.max_sessions_per_connection})",
             )
         if request.session_id is not None:
             if not protocol.is_safe_id(request.session_id):
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(
-                    request.id, protocol.E_BAD_REQUEST,
+                return self._reject(
+                    request, protocol.E_BAD_REQUEST,
                     f"unusable session_id {request.session_id!r}",
                 )
             if request.session_id in self.sessions:
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(
-                    request.id, protocol.E_SESSION_ERROR,
+                return self._reject(
+                    request, protocol.E_SESSION_ERROR,
                     f"session {request.session_id!r} already exists",
                 )
         tenant_spec = None
         if request.tenant is not None:
             if self.tenancy is None:
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(
-                    request.id, protocol.E_BAD_REQUEST,
+                return self._reject(
+                    request, protocol.E_BAD_REQUEST,
                     "server has no tenant config "
                     "(start serve with --tenant-config)",
                 )
             if request.model is not None:
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(
-                    request.id, protocol.E_BAD_REQUEST,
+                return self._reject(
+                    request, protocol.E_BAD_REQUEST,
                     "'tenant' and 'model' are mutually exclusive "
                     "(the tenant names its base model)",
                 )
@@ -258,14 +243,12 @@ class PrefetchService:
             try:
                 tenant_spec = self.tenancy.admit(request.tenant)
             except UnknownTenantError as exc:
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(request.id, protocol.E_BAD_REQUEST, str(exc))
+                return self._reject(request, protocol.E_BAD_REQUEST, str(exc))
             except TenantQuotaError as exc:
-                self.metrics.sessions_rejected += 1
                 self.metrics.tenants_rejected += 1
                 self.metrics.record_tenant(request.tenant, "sessions_rejected")
-                return ErrorReply(
-                    request.id, protocol.E_QUOTA, str(exc),
+                return self._reject(
+                    request, protocol.E_QUOTA, str(exc),
                     retry_after_s=exc.retry_after_s,
                 )
         if request.resume is not None:
@@ -273,8 +256,7 @@ class PrefetchService:
         try:
             params = self._resolve_params(request.params)
         except (TypeError, ValueError) as exc:
-            self.metrics.sessions_rejected += 1
-            return ErrorReply(request.id, protocol.E_BAD_REQUEST, str(exc))
+            return self._reject(request, protocol.E_BAD_REQUEST, str(exc))
         model_spec = (
             request.model if request.model is not None else self.default_model
         )
@@ -303,19 +285,24 @@ class PrefetchService:
                     max_observations=limits.max_observations_per_session,
                 )
             except SessionError:
-                self.metrics.sessions_rejected += 1
-                return ErrorReply(
-                    request.id, protocol.E_SESSION_ERROR, str(exc)
+                return self._reject(
+                    request, protocol.E_SESSION_ERROR, str(exc)
                 )
             session.degraded = True
             self.metrics.degraded_sessions += 1
         except SessionError as exc:
-            self.metrics.sessions_rejected += 1
-            return ErrorReply(request.id, protocol.E_SESSION_ERROR, str(exc))
+            return self._reject(request, protocol.E_SESSION_ERROR, str(exc))
         return self._install_session(
             request, session, owned,
             tenant=request.tenant if tenant_spec is not None else None,
         )
+
+    def _reject(
+        self, request: OpenRequest, code: str, message: str, **extra: Any
+    ) -> ErrorReply:
+        """Refuse an OPEN, counting it in ``sessions_rejected``."""
+        self.metrics.sessions_rejected += 1
+        return ErrorReply(request.id, code, message, **extra)
 
     def _install_session(
         self,
@@ -339,7 +326,13 @@ class PrefetchService:
             self.metrics.record_tenant(tenant, "sessions_opened")
         self.metrics.sessions_opened += 1
         self.enforce_memory_budget(keep=session_id)
-        trace_id = self._bind_trace(session_id, request, resumed=resumed)
+        trace_id = open_trace(self.tracer, session_id, request.trace)
+        if trace_id is not None:
+            self._traces[session_id] = trace_id
+            self.tracer.record(
+                trace_id, "worker.open", time.perf_counter(), 0.0,
+                session=session_id, resumed=int(resumed),
+            )
         return OpenReply(
             id=request.id,
             session=session_id,
@@ -350,32 +343,6 @@ class PrefetchService:
             degraded=session.degraded,
             trace=trace_id,
         )
-
-    def _bind_trace(
-        self, session_id: str, request: OpenRequest, *, resumed: bool
-    ) -> Optional[str]:
-        """Bind the session to a trace id (and span its open), or None.
-
-        A ``trace`` field on the request wins — the gateway or client
-        upstream already made the sampling decision and every hop must
-        agree.  Locally-opened sessions are head-sampled against this
-        server's own tracer seed.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return None
-        trace_id = request.trace
-        if trace_id is None:
-            trace_id = tracer.new_trace_id(session_id)
-            if not tracer.sampled(trace_id):
-                return None
-        self._traces[session_id] = trace_id
-        now = time.perf_counter()
-        tracer.record(
-            trace_id, "worker.open", now, 0.0,
-            session=session_id, resumed=int(resumed),
-        )
-        return trace_id
 
     def _handle_resume(self, request: OpenRequest, owned: Set[str]) -> Reply:
         """Re-open a detached or checkpointed session decision-identically.
@@ -413,17 +380,8 @@ class PrefetchService:
                 request.id, protocol.E_UNKNOWN_SESSION,
                 f"no detached session or checkpoint for {resume_id!r}",
             )
-        from repro.store.session_state import restore_session
-
         try:
-            session = restore_session(
-                snapshot,
-                max_observations=self.limits.max_observations_per_session,
-                model_factory=(
-                    self.tenancy.model_factory
-                    if self.tenancy is not None else None
-                ),
-            )
+            session = self._restore(snapshot)
         except SnapshotError as exc:
             return ErrorReply(
                 request.id, protocol.E_SESSION_ERROR,
@@ -619,18 +577,37 @@ class PrefetchService:
             )
         except (OSError, SnapshotError):
             return False
-        tenant = (
-            self.tenancy.tenant_of(session_id)
-            if self.tenancy is not None else None
-        )
-        if self.tenancy is not None:
-            self.tenancy.unbind(session_id)
         self.sessions.pop(session_id, None)
-        self.evicted[session_id] = tenant
+        self.evicted[session_id] = self._unbind_tenant(
+            session_id, "sessions_evicted"
+        )
         self.metrics.sessions_evicted += 1
-        if tenant is not None:
-            self.metrics.record_tenant(tenant, "sessions_evicted")
         return True
+
+    def _unbind_tenant(self, session_id: str, event: str) -> Optional[str]:
+        """Release a session's tenant binding, counting ``event`` against
+        the tenant; returns the tenant (None when untenanted)."""
+        if self.tenancy is None:
+            return None
+        tenant = self.tenancy.tenant_of(session_id)
+        self.tenancy.unbind(session_id)
+        if tenant is not None:
+            self.metrics.record_tenant(tenant, event)
+        return tenant
+
+    def _restore(self, snapshot: "Snapshot") -> PrefetchSession:
+        """Rebuild a session from a session-kind snapshot (tenant deltas
+        land on their shared base)."""
+        from repro.store.session_state import restore_session
+
+        return restore_session(
+            snapshot,
+            max_observations=self.limits.max_observations_per_session,
+            model_factory=(
+                self.tenancy.model_factory
+                if self.tenancy is not None else None
+            ),
+        )
 
     def _live_session(self, session_id: str) -> Optional[PrefetchSession]:
         """The live session, resurrecting it from disk if budget-evicted."""
@@ -640,19 +617,10 @@ class PrefetchService:
         if session_id not in self.evicted or self.checkpoint_dir is None:
             return None
         from repro.store.codec import SnapshotError, read_snapshot
-        from repro.store.session_state import restore_session
 
         path = os.path.join(self.checkpoint_dir, f"{session_id}.snap")
         try:
-            snapshot = read_snapshot(path)
-            session = restore_session(
-                snapshot,
-                max_observations=self.limits.max_observations_per_session,
-                model_factory=(
-                    self.tenancy.model_factory
-                    if self.tenancy is not None else None
-                ),
-            )
+            session = self._restore(read_snapshot(path))
         except (OSError, SnapshotError):
             # Leave the eviction record: the fault may be transient, and
             # the client can still OPEN resume=<id> explicitly.
@@ -668,8 +636,7 @@ class PrefetchService:
     def _handle_observe(self, request: ObserveRequest) -> Reply:
         session = self._live_session(request.session)
         if session is None:
-            return ErrorReply(request.id, protocol.E_UNKNOWN_SESSION,
-                              f"unknown session {request.session!r}")
+            return unknown_session(request)
         if request.seq is not None:
             # Exactly-once folding under retries: ``seq`` is the 0-based
             # observation index the client believes it is sending.  A
@@ -726,19 +693,13 @@ class PrefetchService:
             # doubles as a supervisor liveness probe and as the feed a
             # fleet gateway merges into fleet totals (``metrics_state`` is
             # the lossless form; ``metrics`` the human summary).
-            if request.format is not None and request.format != "prometheus":
-                return ErrorReply(
-                    request.id, protocol.E_BAD_REQUEST,
-                    f"unknown stats format {request.format!r} "
-                    "(only 'prometheus' is defined)",
-                )
+            rejection = stats_format_error(request)
+            if rejection is not None:
+                return rejection
             stats: Dict[str, Any] = {
                 "server": "repro.service",
                 "worker": self.identity,
-                "protocol": protocol.PROTOCOL_VERSION,
-                "proto_version": protocol.PROTOCOL_VERSION,
-                "uptime_s": round(time.monotonic() - self.started_at, 3),
-                "pid": os.getpid(),
+                **self.frontend.identity(),
                 "live_sessions": self.metrics.live_sessions,
                 "model_bytes": self.accounted_model_bytes(),
                 "memory_budget_bytes": self.memory_budget_bytes,
@@ -760,8 +721,7 @@ class PrefetchService:
             )
         session = self._live_session(request.session)
         if session is None:
-            return ErrorReply(request.id, protocol.E_UNKNOWN_SESSION,
-                              f"unknown session {request.session!r}")
+            return unknown_session(request)
         return StatsReply(id=request.id, session=request.session,
                           stats=session.stats_snapshot())
 
@@ -769,18 +729,11 @@ class PrefetchService:
         """Prometheus text format over this server's own metrics state."""
         from repro.obs.prom import render_exposition
 
-        gauges = [
-            ("brownout_level", None, stats["brownout_level"]),
-            ("inflight", None, stats["inflight"]),
-            ("live_sessions", None, stats["live_sessions"]),
-            ("model_bytes", None, stats["model_bytes"]),
-            ("evicted_sessions", None, stats["evicted_sessions"]),
-            ("uptime_s", None, stats["uptime_s"]),
-        ]
+        names = ["brownout_level", "inflight", "live_sessions", "model_bytes",
+                 "evicted_sessions", "uptime_s"]
         if stats["memory_budget_bytes"] is not None:
-            gauges.append(
-                ("memory_budget_bytes", None, stats["memory_budget_bytes"])
-            )
+            names.append("memory_budget_bytes")
+        gauges = [(name, None, stats[name]) for name in names]
         for tenant, tenant_gauges in sorted(stats.get("tenants", {}).items()):
             gauges.append(
                 ("tenant_sessions", {"tenant": tenant},
@@ -795,16 +748,11 @@ class PrefetchService:
     def _handle_close(self, request: CloseRequest, owned: Set[str]) -> Reply:
         session = self._live_session(request.session)
         if session is None:
-            return ErrorReply(request.id, protocol.E_UNKNOWN_SESSION,
-                              f"unknown session {request.session!r}")
+            return unknown_session(request)
         self.sessions.pop(request.session, None)
         owned.discard(request.session)
         self._traces.pop(request.session, None)
-        if self.tenancy is not None:
-            tenant = self.tenancy.tenant_of(request.session)
-            if tenant is not None:
-                self.metrics.record_tenant(tenant, "sessions_closed")
-            self.tenancy.unbind(request.session)
+        self._unbind_tenant(request.session, "sessions_closed")
         stats = session.close()
         self.metrics.sessions_closed += 1
         self._delete_checkpoint(request.session)
@@ -925,11 +873,7 @@ class PrefetchService:
                     del self.evicted[session_id]
                     self.metrics.sessions_closed += 1
                 continue
-            if self.tenancy is not None:
-                tenant = self.tenancy.tenant_of(session_id)
-                if tenant is not None:
-                    self.metrics.record_tenant(tenant, "sessions_closed")
-                self.tenancy.unbind(session_id)
+            self._unbind_tenant(session_id, "sessions_closed")
             if not session.closed and session.observations > 0:
                 try:
                     self.detached[session_id] = snapshot_session(
@@ -949,110 +893,11 @@ class PrefetchService:
             self.metrics.sessions_closed += 1
         owned.clear()
 
-    # --------------------------------------------------------- connection
-
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.metrics.connections_opened += 1
-        owned: Set[str] = set()
-        self._writers.add(writer)
-        limits = self.limits
-
-        async def _drain() -> None:
-            # A reader that stops consuming must not wedge this handler:
-            # bound every drain by the request timeout.
-            await asyncio.wait_for(writer.drain(), limits.request_timeout_s)
-
-        try:
-            writer.write(protocol.encode_reply(
-                HelloReply(id=0, max_sessions=self.limits.max_sessions)
-            ))
-            await _drain()
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), limits.idle_timeout_s
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    self.metrics.timeouts += 1
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(protocol.encode_reply(ErrorReply(
-                        0, protocol.E_BAD_REQUEST, "request line too long",
-                    )))
-                    await _drain()
-                    self.metrics.errors += 1
-                    break
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    request = protocol.decode_request(stripped)
-                except ProtocolError as exc:
-                    self.metrics.errors += 1
-                    writer.write(protocol.encode_reply(
-                        ErrorReply(0, exc.code, str(exc))
-                    ))
-                    await _drain()
-                    continue
-                shed = self.shed_reply(request)
-                if shed is not None:
-                    writer.write(protocol.encode_reply(shed))
-                    await _drain()
-                    continue
-                # In-flight from decode to drained reply: the interval
-                # the admission watermark measures.
-                self.overload.begin()
-                try:
-                    writer.write(protocol.encode_reply(
-                        self.handle(request, owned)
-                    ))
-                    await _drain()
-                finally:
-                    self.overload.end()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except (asyncio.TimeoutError, TimeoutError):
-            self.metrics.timeouts += 1
-        except asyncio.CancelledError:
-            # Swallowed, not re-raised: handlers are only cancelled at
-            # loop teardown (drain/shutdown), and 3.11's streams
-            # done-callback calls task.exception() on cancelled handler
-            # tasks, printing tracebacks for an orderly exit.  The
-            # finally block below still detaches this connection's
-            # sessions, which is exactly what shutdown wants.
-            pass
-        finally:
-            self._writers.discard(writer)
-            self.drop_connection_sessions(owned)
-            self.metrics.connections_closed += 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def close_connections(self) -> None:
-        """Close every tracked client connection (used by drain)."""
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.AbstractServer:
         """Bind and start serving; returns the listening asyncio server."""
-        return await asyncio.start_server(
-            self.handle_connection, host, port,
-            limit=self.limits.max_line_bytes,
-        )
+        return await self.frontend.start(host, port)
 
 
 def bound_port(server: asyncio.AbstractServer) -> int:
@@ -1117,7 +962,7 @@ async def drain_service(
             service.write_checkpoints, snaps, directory
         )
     service.metrics.drained_sessions += len(snaps)
-    service.close_connections()
+    await service.frontend.aclose()
     if service.tracer is not None:
         service.tracer.flush()
     return drained
@@ -1287,6 +1132,9 @@ class BackgroundServer:
         finally:
             server.close()
             loop.run_until_complete(server.wait_closed())
+            # Handlers parked in readline() must finish their teardown
+            # while the loop still runs, not at GC time on a closed loop.
+            loop.run_until_complete(self.service.frontend.aclose())
             if self.service.tracer is not None:
                 self.service.tracer.close()
             loop.close()

@@ -18,7 +18,11 @@ import pytest
 
 from repro.cluster import AdvisoryGateway, StaticWorkerDirectory
 from repro.service import protocol
-from repro.service.server import BackgroundServer, PrefetchService
+from repro.service.server import (
+    BackgroundServer,
+    PrefetchService,
+    ServiceLimits,
+)
 
 # (name, payload line, codes acceptable in the error reply)
 CASES = [
@@ -54,22 +58,39 @@ OPEN_LINE = (
 class _Target:
     """A port to fuzz plus the machinery behind it."""
 
-    def __init__(self, flavor):
+    def __init__(self, flavor, idle_timeout_s=300.0):
         self.flavor = flavor
+        self.idle_timeout_s = idle_timeout_s
         self.port = None
         self._server = None
         self._gateway = None
 
+    @property
+    def counters(self):
+        """The stats the fuzzed front-end counts into."""
+        if self._gateway is not None:
+            return self._gateway.stats
+        return self._server.service.metrics
+
     async def __aenter__(self):
+        # The idle timeout applies to the fuzzed endpoint only: a gateway
+        # keeps its upstream worker link alive on the default.
+        bare = self.flavor == "bare"
+        limits = ServiceLimits(
+            idle_timeout_s=self.idle_timeout_s if bare else 300.0
+        )
         self._server = BackgroundServer(
-            service=PrefetchService(identity="w0")
+            service=PrefetchService(identity="w0", limits=limits)
         ).start().wait_ready()
-        if self.flavor == "bare":
+        if bare:
             self.port = self._server.port
         else:
             directory = StaticWorkerDirectory()
             directory.register("w0", "127.0.0.1", self._server.port)
-            self._gateway = AdvisoryGateway(directory, request_timeout_s=5.0)
+            self._gateway = AdvisoryGateway(
+                directory, request_timeout_s=5.0,
+                idle_timeout_s=self.idle_timeout_s,
+            )
             await self._gateway.start(port=0)
             self.port = self._gateway.port
         return self
@@ -173,3 +194,19 @@ def test_fuzz_burst_never_wedges_the_server(flavor):
             await writer.wait_closed()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("flavor", ["bare", "gateway"])
+def test_silent_connection_is_closed_and_counted(flavor):
+    """A connection silent past ``idle_timeout_s`` is hung up on and
+    counted in ``timeouts``: by the gateway exactly as by a bare server."""
+
+    async def scenario():
+        async with _Target(flavor, idle_timeout_s=0.2) as target:
+            reader, writer = await _raw_connect(target.port)
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            await writer.wait_closed()
+            return target.counters.timeouts
+
+    assert asyncio.run(scenario()) == 1

@@ -308,14 +308,14 @@ class TestShedUnderFlood:
         )
         service.overload.begin()
         try:
-            shed = service.shed_reply(protocol.OpenRequest(id=1))
+            shed = service.frontend.shed_reply(protocol.OpenRequest(id=1))
             assert shed is not None
             assert shed.error == protocol.E_OVERLOAD
             assert shed.retry_after_s == service.overload.policy.shed_retry_after_s
             resume = protocol.OpenRequest(id=2, resume="s-live")
-            assert service.shed_reply(resume) is None
+            assert service.frontend.shed_reply(resume) is None
             observe = protocol.ObserveRequest(id=3, session="s", block=7)
-            assert service.shed_reply(observe) is None
+            assert service.frontend.shed_reply(observe) is None
         finally:
             service.overload.end()
 

@@ -255,6 +255,19 @@ class TestStoreCommands:
         assert rc == 2
         assert "--checkpoint-every-s" in capsys.readouterr().err
 
+    def test_fleet_flag_validation_matches_serve(self, capsys):
+        # Caught in the CLI, before any worker is spawned: one error line
+        # and exit 2, not a worker-startup traceback.
+        rc = main(["fleet", "--workers", "1", "--memory-budget-mb", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--checkpoint-dir" in err
+        assert "Traceback" not in err
+
+        rc = main(["fleet", "--model", "m"])
+        assert rc == 2
+        assert "--store" in capsys.readouterr().err
+
     def test_serve_unknown_default_model_fails_fast(self, tmp_path, capsys):
         rc = main(["serve", "--store", str(tmp_path / "empty"),
                    "--model", "ghost"])
