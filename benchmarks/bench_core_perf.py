@@ -96,3 +96,22 @@ def test_perf_trace_generation(benchmark):
         iterations=1,
     )
     assert len(trace) == 20_000
+
+
+def test_perf_tree_cad_lap(benchmark):
+    """One cold-start ``tree`` lap over a 4000-reference cad stream.
+
+    The same lap as the ``sim-cad-tree`` workload of ``e2ebench``: most
+    periods start at the hub root, so the cost of depth-1 candidate
+    selection there shows directly.
+    """
+    blocks = make_trace("cad", num_references=4_000, seed=1_000_004).as_list()
+
+    def lap():
+        sim = Simulator(PAPER_PARAMS, make_policy("tree"), 1024)
+        for block in blocks:
+            sim.step(block)
+        return sim.finalize().accesses
+
+    refs = benchmark.pedantic(lap, rounds=5, iterations=1)
+    assert refs == len(blocks)

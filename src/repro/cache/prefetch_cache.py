@@ -87,6 +87,9 @@ class PrefetchCache:
             )
         self.params = params
         self.refetch_distance = refetch_distance
+        #: Per-period horizon and compute term; the simulator's policy
+        #: reads the same cache, so each period computes them once.
+        self.scalars = costbenefit.PeriodScalarCache(params)
         self._capacity = capacity
         self._entries: Dict[Block, PrefetchEntry] = {}
         self._tag_counts: Dict[str, int] = {}
@@ -171,12 +174,10 @@ class PrefetchCache:
         return p * (params.t_driver + stall) / (depth - x)
 
     def _cost_context(self, s: float) -> Tuple[int, float]:
+        scalars = self.scalars.get(s)
         if self.refetch_distance is None:
-            horizon = costbenefit.prefetch_horizon(self.params, s)
-        else:
-            horizon = self.refetch_distance
-        compute = self.params.t_cpu + self.params.t_hit + s * self.params.t_driver
-        return horizon, compute
+            return scalars.horizon, scalars.compute
+        return self.refetch_distance, scalars.compute
 
     #: Cheap-list length per rebuild; rescan when a period evicts more.
     _CHEAP_WIDTH = 32

@@ -32,7 +32,7 @@ import signal
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cluster.gateway import AdvisoryGateway
+from repro.cluster.gateway import AdvisoryGateway, GatewayStats
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.cluster.worker import WorkerSupervisor
 from repro.service import protocol
@@ -84,25 +84,14 @@ class Fleet:
 
     def summary(self) -> str:
         """The greppable one-line shutdown summary (see module docstring)."""
-        stats = self.gateway.stats
-        rejected = stats.tenants_rejected + self.worker_tenants_rejected
-        shed = stats.overload_rejections + self.worker_overload_rejections
-        return (
-            f"fleet: workers={len(self.supervisor.workers)} "
-            f"workers_restarted={self.supervisor.workers_restarted} "
-            f"sessions_opened={stats.sessions_opened} "
-            f"sessions_closed={stats.sessions_closed} "
-            f"failovers_resumed={stats.failovers_resumed} "
-            f"failovers_degraded={stats.failovers_degraded} "
-            f"sessions_lost={stats.sessions_lost} "
-            f"sessions_evicted={self.sessions_evicted} "
-            f"tenants_rejected={rejected} "
-            f"overload_rejections={shed} "
-            f"breakers_opened={stats.breakers_opened} "
-            f"journal_compactions={stats.journal_compactions} "
-            f"uptime_s={time.monotonic() - self.started_at:.3f} "
-            f"proto_version={protocol.PROTOCOL_VERSION} "
-            f"pid={os.getpid()}"
+        return _summary_line(
+            len(self.supervisor.workers),
+            self.supervisor.workers_restarted,
+            self.gateway.stats,
+            sessions_evicted=self.sessions_evicted,
+            worker_tenants_rejected=self.worker_tenants_rejected,
+            worker_overload_rejections=self.worker_overload_rejections,
+            started_at=self.started_at,
         )
 
     async def aclose(self) -> None:
@@ -123,6 +112,37 @@ class Fleet:
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.aclose()
+
+
+def _summary_line(
+    workers: int,
+    workers_restarted: int,
+    stats: GatewayStats,
+    *,
+    sessions_evicted: int,
+    worker_tenants_rejected: int,
+    worker_overload_rejections: int,
+    started_at: float,
+) -> str:
+    rejected = stats.tenants_rejected + worker_tenants_rejected
+    shed = stats.overload_rejections + worker_overload_rejections
+    return (
+        f"fleet: workers={workers} "
+        f"workers_restarted={workers_restarted} "
+        f"sessions_opened={stats.sessions_opened} "
+        f"sessions_closed={stats.sessions_closed} "
+        f"failovers_resumed={stats.failovers_resumed} "
+        f"failovers_degraded={stats.failovers_degraded} "
+        f"sessions_lost={stats.sessions_lost} "
+        f"sessions_evicted={sessions_evicted} "
+        f"tenants_rejected={rejected} "
+        f"overload_rejections={shed} "
+        f"breakers_opened={stats.breakers_opened} "
+        f"journal_compactions={stats.journal_compactions} "
+        f"uptime_s={time.monotonic() - started_at:.3f} "
+        f"proto_version={protocol.PROTOCOL_VERSION} "
+        f"pid={os.getpid()}"
+    )
 
 
 async def start_fleet(
@@ -226,36 +246,62 @@ async def serve_fleet(
 ) -> None:
     """Run gateway + supervised workers until SIGTERM/SIGINT/cancel.
 
-    ``fleet_kwargs`` are :func:`start_fleet`'s keyword arguments.
+    ``fleet_kwargs`` are :func:`start_fleet`'s keyword arguments.  The
+    signal handlers go in before any worker is spawned: a signal that
+    lands during start-up cancels the start (which stops every worker it
+    spawned) and still ends with the summary line.
     """
 
     def _say(message: str) -> None:
         if ready_message:
             print(message, flush=True)
 
-    fleet = await start_fleet(
-        host, port, echo=_say if ready_message else None, **fleet_kwargs
-    )
-    try:
-        _say(
-            f"repro.gateway listening on {host}:{fleet.port} "
-            f"(protocol v{protocol.PROTOCOL_VERSION}, "
-            f"workers={len(fleet.supervisor.workers)})"
-        )
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        installed = []
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                pass
+    started_at = time.monotonic()
+    stop_requested = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    installed = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
         try:
-            await stop_requested.wait()
+            loop.add_signal_handler(signum, stop_requested.set)
+            installed.append(signum)
+        except (NotImplementedError, RuntimeError):
+            pass
+    stopping = asyncio.ensure_future(stop_requested.wait())
+    try:
+        starting = asyncio.ensure_future(start_fleet(
+            host, port, echo=_say if ready_message else None, **fleet_kwargs
+        ))
+        try:
+            await asyncio.wait(
+                {starting, stopping}, return_when=asyncio.FIRST_COMPLETED
+            )
         finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
+            if not starting.done():
+                # Signalled (or cancelled) mid start-up: start_fleet's
+                # cleanup stops the workers spawned so far.
+                starting.cancel()
+            await asyncio.gather(starting, return_exceptions=True)
+        if starting.cancelled():
+            # No gateway ever served, so every session counter is zero.
+            _say("fleet: signal during start-up; workers stopped")
+            _say(_summary_line(
+                fleet_kwargs.get("workers", 2), 0, GatewayStats(),
+                sessions_evicted=0, worker_tenants_rejected=0,
+                worker_overload_rejections=0, started_at=started_at,
+            ))
+            return
+        fleet = starting.result()
+        try:
+            _say(
+                f"repro.gateway listening on {host}:{fleet.port} "
+                f"(protocol v{protocol.PROTOCOL_VERSION}, "
+                f"workers={len(fleet.supervisor.workers)})"
+            )
+            await stopping
+        finally:
+            await fleet.aclose()
+            _say(fleet.summary())
     finally:
-        await fleet.aclose()
-        _say(fleet.summary())
+        stopping.cancel()
+        for signum in installed:
+            loop.remove_signal_handler(signum)

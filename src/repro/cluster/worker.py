@@ -28,10 +28,38 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service import protocol
 from repro.service.client import AsyncServiceClient
-from repro.service.server import wait_port_ready
 
 #: An up/down transition: ``callback(worker_id, up)``.
 Listener = Callable[[str, bool], None]
+
+
+async def _wait_port_ready(
+    host: str, port: int, *, timeout: float, interval: float = 0.02
+) -> None:
+    """:func:`repro.service.server.wait_port_ready` on the event loop.
+
+    No thread is involved, so a cancelled start-up stops polling at once
+    instead of holding interpreter shutdown until the timeout.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while True:
+        try:
+            _, writer = await asyncio.open_connection(host, port)
+        except OSError as exc:
+            if loop.time() >= deadline:
+                raise TimeoutError(
+                    f"{host}:{port} not accepting connections after "
+                    f"{timeout}s (last error: {exc})"
+                ) from None
+            await asyncio.sleep(interval)
+            continue
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:
+            pass
+        return
 
 
 class WorkerDirectory:
@@ -259,9 +287,8 @@ class WorkerSupervisor(WorkerDirectory):
                     raise WorkerStartupError(
                         f"{worker.worker_id}: unparseable banner {line!r}"
                     ) from None
-        await asyncio.to_thread(
-            wait_port_ready, self.host, worker.port,
-            timeout=self.startup_timeout_s,
+        await _wait_port_ready(
+            self.host, worker.port, timeout=self.startup_timeout_s
         )
         worker.up = True
         self._say(

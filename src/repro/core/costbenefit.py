@@ -21,12 +21,15 @@ Summary of the model:
 * ``prefetch_horizon(...)`` -- Patterson's distance beyond which a prefetch
   is fully overlapped (``t_stall == 0``); used for the re-prefetch distance
   ``x`` in Eq. 11, which the paper leaves open (see DESIGN.md Section 5).
+* ``period_scalars(...)`` -- the quantities above that depend only on the
+  parameters and ``s``, computed together once per access period.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.params import SystemParams
 
@@ -50,7 +53,11 @@ def t_stall(params: SystemParams, depth: int, s: float) -> float:
         raise ValueError(f"depth must be >= 0, got {depth!r}")
     if depth == 0:
         return params.t_disk
-    return max(params.t_disk / depth - per_period_compute(params, s), 0.0)
+    return _stall(params, depth, per_period_compute(params, s))
+
+
+def _stall(params: SystemParams, depth: int, compute: float) -> float:
+    return max(params.t_disk / depth - compute, 0.0)
 
 
 def delta_t_pf(params: SystemParams, depth: int, s: float) -> float:
@@ -101,7 +108,10 @@ def prefetch_horizon(params: SystemParams, s: float) -> int:
     The depth ``d`` where ``T_disk / d <= T_hit + T_cpu + s*T_driver``, i.e.
     ``t_stall(d) == 0`` (Patterson's prefetch horizon).  Always >= 1.
     """
-    compute = per_period_compute(params, s)
+    return _horizon(params, per_period_compute(params, s))
+
+
+def _horizon(params: SystemParams, compute: float) -> int:
     if compute <= 0.0:
         # Degenerate all-I/O workload: no overlap is ever free.
         return max(1, math.ceil(params.t_disk / max(params.t_hit, 1e-9)))
@@ -161,10 +171,64 @@ def min_profitable_probability(params: SystemParams, s: float) -> float:
     below this probability can be pruned before any cost comparison.
     Returns > 1 when prefetching one ahead saves nothing at all.
     """
-    saved = delta_t_pf(params, 1, s)
+    return _floor(params, delta_t_pf(params, 1, s))
+
+
+def _floor(params: SystemParams, saved: float) -> float:
     if saved <= 0.0:
         return 1.0 + 1e-9
     return params.t_driver / (saved + params.t_driver)
+
+
+class PeriodScalars(NamedTuple):
+    """The cost-benefit quantities that depend only on ``params`` and ``s``.
+
+    Within one access period ``s`` is fixed, so candidate selection and the
+    prefetch cache's Eq. 11 costs share one set.  Each field is computed by
+    the same expression as its stand-alone function, so the values are
+    bit-identical to calling those functions.
+    """
+
+    compute: float
+    """:func:`per_period_compute`: ``T_cpu + T_hit + s*T_driver``."""
+    horizon: int
+    """:func:`prefetch_horizon`."""
+    saved: float
+    """:func:`delta_t_pf` at depth 1."""
+    floor: float
+    """:func:`min_profitable_probability`."""
+
+
+def period_scalars(params: SystemParams, s: float) -> PeriodScalars:
+    """All of :class:`PeriodScalars` from one evaluation of the compute term."""
+    compute = per_period_compute(params, s)
+    saved = params.t_disk - _stall(params, 1, compute)
+    return PeriodScalars(
+        compute, _horizon(params, compute), saved, _floor(params, saved)
+    )
+
+
+class PeriodScalarCache:
+    """:func:`period_scalars` for the most recent ``s``.
+
+    The simulator's ``s`` moves once per access period, so one cache shared
+    by the policy's candidate selection and the prefetch cache computes the
+    scalars once per period.
+    """
+
+    __slots__ = ("params", "_s", "_value")
+
+    def __init__(self, params: SystemParams) -> None:
+        self.params = params
+        self._s: Optional[float] = None
+        self._value: Optional[PeriodScalars] = None
+
+    def get(self, s: float) -> PeriodScalars:
+        value = self._value
+        if value is None or s != self._s:
+            value = self._value = period_scalars(self.params, s)
+            self._s = s
+        return value
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ convert to the paper's bytes-per-node when reporting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class TreeNode:
@@ -35,6 +35,7 @@ class TreeNode:
         "lru_next",
         "heavy",
         "heavy_rebuild_at",
+        "hot",
         "base",
     )
 
@@ -50,6 +51,10 @@ class TreeNode:
         # PrefetchTree.iter_relevant_children.  None = scan children directly.
         self.heavy: Optional[Dict[int, "TreeNode"]] = None
         self.heavy_rebuild_at: int = 0
+        # Derived from ``heavy``, never persisted: the children above
+        # 1/HOT_CHILD_DIVISOR, in ``heavy`` order; see
+        # PrefetchTree.children_above.  None = build on next read.
+        self.hot: Optional[List[Tuple[int, "TreeNode"]]] = None
         # Multi-tenant overlays (repro.tenancy.overlay): the read-only base
         # node this node shadows, or None for private/base/overlay-new nodes.
         self.base: Optional["TreeNode"] = None

@@ -21,6 +21,31 @@ Optional node budget (Section 9.3): nodes live on an intrusive LRU list,
 touched whenever traversed; when the budget is exceeded the least recently
 used node (with its - necessarily even older or equally old - subtree) is
 discarded.  The root is never evicted.
+
+Candidate indexes at hub nodes.  The root collects one child per distinct
+substring-starting block, so a depth-1 candidate scan there would touch
+thousands of cold edges every period.  Two indexes avoid that:
+
+* ``heavy`` (nodes with more than ``HEAVY_ACTIVATION`` children) holds every
+  child at probability >= 1/``HEAVY_CHILD_DIVISOR``; it is persisted in
+  snapshots, because its order decides ties between equal candidates;
+* ``hot`` is derived from ``heavy`` and never persisted: the children at
+  probability >= 1/``HOT_CHILD_DIVISOR``, in ``heavy`` order.  Depth-1
+  selection reads it whenever the period's profitability floor is at least
+  1/``HOT_CHILD_DIVISOR`` (with the paper's constants the floor is ~0.037).
+
+``hot`` is exact, not a heuristic.  A power-of-two divisor makes
+``w * HOT_CHILD_DIVISOR >= W`` agree with the rounded ``w / W >= 1/32``, so
+no child with ``p > floor`` is ever outside it.  A child can only rise
+above 1/32 on one of its own weight increments (the parent's increments
+only lower it, and a new child at a hub starts far below it).  That
+increment, a ``heavy`` rebuild (which may reorder) and an eviction all
+drop ``hot``; it is rebuilt from ``heavy`` on the next read.  So between
+drops ``hot`` is ``heavy`` less members below every floor it serves, and
+the filtered, stably sorted candidate list is identical to a full scan's,
+ties included.  Overlays (:mod:`repro.tenancy.overlay`) keep the
+scan: their hub nodes shadow frozen shared base nodes whose children an
+overlay swaps for private copies, which a cached child list would miss.
 """
 
 from __future__ import annotations
@@ -109,6 +134,11 @@ class TreeStats:
 HEAVY_CHILD_DIVISOR = 1024
 #: Nodes with at most this many children are scanned directly.
 HEAVY_ACTIVATION = 64
+#: Hub nodes also cache their children at probability >= 1/HOT_CHILD_DIVISOR
+#: (a power of two, so the cut is exact in floating point); depth-1
+#: selection reads only those when its floor is at least ``HOT_FLOOR``.
+HOT_CHILD_DIVISOR = 32
+HOT_FLOOR = 1.0 / HOT_CHILD_DIVISOR
 
 #: Paper's storage estimate per tree node, bytes (Section 9.3, Figure 13).
 PAPER_NODE_BYTES = 40
@@ -187,6 +217,7 @@ class PrefetchTree:
         del parent.children[victim.block]
         if parent.heavy is not None:
             parent.heavy.pop(victim.block, None)
+        parent.hot = None
         if parent.last_visited_child == victim.block:
             parent.last_visited_child = None
         victim.parent = None
@@ -246,14 +277,22 @@ class PrefetchTree:
 
         created = False
         if child is not None:
-            child.weight += 1
+            weight = child.weight = child.weight + 1
             heavy = cur.heavy
-            if (
-                heavy is not None
-                and block not in heavy
-                and child.weight * HEAVY_CHILD_DIVISOR >= cur.weight
-            ):
-                heavy[block] = child
+            if heavy is not None:
+                if (
+                    block not in heavy
+                    and weight * HEAVY_CHILD_DIVISOR >= cur.weight
+                ):
+                    heavy[block] = child
+                if (
+                    cur.hot is not None
+                    and (weight - 1) * HOT_CHILD_DIVISOR
+                    < cur.weight
+                    <= weight * HOT_CHILD_DIVISOR
+                ):
+                    # The child just rose to 1/HOT_CHILD_DIVISOR.
+                    cur.hot = None
             cur.last_visited_child = block
             self._lru_touch(child)
             self.current = child
@@ -262,6 +301,8 @@ class PrefetchTree:
             cur.children[block] = node
             if cur.heavy is not None and HEAVY_CHILD_DIVISOR >= cur.weight:
                 cur.heavy[block] = node
+            # ``hot`` stays: a hub has over HEAVY_ACTIVATION children, so its
+            # weight exceeds HOT_CHILD_DIVISOR times a new child's weight.
             cur.last_visited_child = block
             self._node_count += 1
             stats.nodes_created += 1
@@ -321,8 +362,32 @@ class PrefetchTree:
             if c.weight * HEAVY_CHILD_DIVISOR >= node.weight
         }
         node.heavy = rebuilt
+        node.hot = None
         node.heavy_rebuild_at = max(2 * node.weight, 2)
         return rebuilt.items()
+
+    def children_above(self, node: TreeNode, floor: float):
+        """The :meth:`iter_relevant_children` pairs that can beat ``floor``.
+
+        Every child with probability ``> floor`` is included, in the order
+        :meth:`iter_relevant_children` yields it; children below the floor
+        may be included too.  Hub nodes answer floors of at least
+        ``HOT_FLOOR`` from their ``hot`` cache (see the module docstring);
+        everything else is the full relevant-children scan.  The scan's
+        ``heavy`` upkeep runs on every call either way, so snapshots do not
+        depend on which path answered.
+        """
+        relevant = self.iter_relevant_children(node)
+        if floor < HOT_FLOOR or node.heavy is None:
+            return relevant
+        hot = node.hot
+        if hot is None:
+            weight = node.weight
+            hot = node.hot = [
+                (b, c) for b, c in relevant
+                if c.weight * HOT_CHILD_DIVISOR >= weight
+            ]
+        return hot
 
     def next_probabilities(self) -> List[Tuple[Block, float]]:
         """Children of the current node with their access probabilities.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Hashable, List, Tuple, TYPE_CHECKING
 
 from repro.cache.buffer_cache import BufferCache, Location
-from repro.core import costbenefit
 from repro.policies.base import Policy
 from repro.predictors.base import Predictor
 from repro.sim.engine import IssueStatus
@@ -58,13 +57,12 @@ class PredictorPolicy(Policy):
                 stats.predictable_uncached += 1
 
     def prefetch_round(self, ctx: "PrefetchContext") -> None:
-        params = ctx.params
-        s = ctx.s
-        saved = costbenefit.delta_t_pf(params, 1, s)
+        scalars = ctx.scalars
+        saved = scalars.saved
         if saved <= 0.0:
             return
-        floor = costbenefit.min_profitable_probability(params, s)
-        t_driver = params.t_driver
+        floor = scalars.floor
+        t_driver = ctx.params.t_driver
         ranked: List[Tuple[float, float, Block]] = []
         for block, p in self.predictor.predictions():
             if p <= floor:

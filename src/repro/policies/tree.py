@@ -45,13 +45,13 @@ class TreePolicy(TreeBackedPolicy):
 
     def ranked_candidates(self, ctx: "PrefetchContext") -> List[RankedCandidate]:
         """Candidates with positive net benefit, best first."""
+        scalars = ctx.scalars
+        effective_depth = min(self.max_depth, scalars.horizon)
+        if effective_depth <= 1:
+            return self._depth1_candidates(scalars, ctx.params.t_driver)
+
         params = ctx.params
         s = ctx.s
-        horizon = costbenefit.prefetch_horizon(params, s)
-        effective_depth = min(self.max_depth, horizon)
-        if effective_depth <= 1:
-            return self._depth1_candidates(ctx)
-
         ranked: List[RankedCandidate] = []
         for cand in best_candidates(
             self.tree,
@@ -72,21 +72,25 @@ class TreePolicy(TreeBackedPolicy):
         ranked.sort(key=lambda item: -item[0])
         return ranked
 
-    def _depth1_candidates(self, ctx: "PrefetchContext") -> List[RankedCandidate]:
-        """Fast path: only the current node's children can be profitable."""
+    def _depth1_candidates(
+        self, scalars: costbenefit.PeriodScalars, t_driver: float
+    ) -> List[RankedCandidate]:
+        """Fast path: only the current node's children can be profitable.
+
+        Reads the tree's above-floor children (the ``hot`` cache at hub
+        nodes), which yields the same candidates in the same order as the
+        full relevant-children scan.
+        """
         cur = self.tree.current
         weight = cur.weight
         if weight <= 0 or not cur.has_children():
             return []
-        params = ctx.params
-        s = ctx.s
-        saved = costbenefit.delta_t_pf(params, 1, s)
+        saved = scalars.saved
         if saved <= 0.0:
             return []
-        t_driver = params.t_driver
-        floor = max(self.min_probability, costbenefit.min_profitable_probability(params, s))
+        floor = max(self.min_probability, scalars.floor)
         ranked: List[RankedCandidate] = []
-        for block, child in self.tree.iter_relevant_children(cur):
+        for block, child in self.tree.children_above(cur, floor):
             p = child.weight / weight
             if p <= floor:
                 continue

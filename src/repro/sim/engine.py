@@ -118,8 +118,14 @@ class PrefetchContext:
         return self._engine.params
 
     @property
+    def scalars(self) -> costbenefit.PeriodScalars:
+        """This period's cost-benefit scalars (horizon, saving, floor)."""
+        engine = self._engine
+        return engine.scalars.get(engine.s)
+
+    @property
     def prefetch_horizon(self) -> int:
-        return costbenefit.prefetch_horizon(self._engine.params, self._engine.s)
+        return self.scalars.horizon
 
     def is_cached(self, block: Block) -> bool:
         return self._engine.cache.location_of(block) is not Location.MISS
@@ -181,6 +187,8 @@ class Simulator:
             refetch_distance=refetch_distance,
             marginal_band=marginal_band,
         )
+        self.scalars = self.cache.prefetch.scalars
+        """Per-period cost-benefit scalars, shared with the prefetch cache."""
         self.clock = SimClock()
         self.disk = (
             DiskModel(params) if num_disks is None

@@ -276,6 +276,16 @@ class OverlayTree(PrefetchTree):
         node.heavy_rebuild_at = max(2 * node.weight, 2)
         return rebuilt.items()
 
+    def children_above(self, node: TreeNode, floor: float):
+        """Always the full relevant-children scan.
+
+        An owned hub node's ``heavy`` index starts as a copy of its base
+        node's and has entries swapped for private copies as the session
+        materialises them, so a cached child list could hold stale base
+        children; overlays therefore never build the ``hot`` cache.
+        """
+        return self.iter_relevant_children(node)
+
     def is_predictable(self, block: Block) -> bool:
         cur = self.current
         if block in cur.children:

@@ -8,8 +8,11 @@ worker mid-stream and still loses zero sessions.
 """
 
 import asyncio
+import glob
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +102,57 @@ class TestSupervisor:
         for pid in asyncio.run(scenario()):
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+def _alive(pid):
+    """True unless ``pid`` is gone or a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads worker pids from /proc")
+class TestFleetCommand:
+    def test_sigterm_during_startup_leaves_no_workers(self):
+        """A signal while workers are still starting must stop them all:
+        the fleet exits cleanly with its summary and orphans nothing."""
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)
+        )))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "--workers", "2",
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env,
+        )
+        workers = set()
+        try:
+            head = []
+            while not head or not head[-1].startswith("[w0]"):
+                line = proc.stdout.readline()
+                assert line, f"fleet exited early: {''.join(head)}"
+                head.append(line)
+            for path in glob.glob(f"/proc/{proc.pid}/task/*/children"):
+                with open(path) as f:
+                    workers.update(int(pid) for pid in f.read().split())
+            assert workers, "no worker process found"
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            leftover = [pid for pid in workers if _alive(pid)]
+            for pid in leftover:
+                os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == 0, out
+        assert "fleet: workers=2 " in out
+        assert leftover == []
 
 
 class TestAcceptance:

@@ -113,6 +113,37 @@ class TestHorizon:
         assert abs(net) < 1e-9
 
 
+class TestPeriodScalars:
+    PARAMS = [
+        P,
+        SystemParams(t_cpu=5.0),
+        SystemParams(t_cpu=1.0),
+        SystemParams(t_cpu=0.0, t_hit=0.0, t_driver=0.0),  # zero compute
+        SystemParams(t_cpu=0.0, t_hit=0.0, t_disk=1e-3),   # nothing saved
+    ]
+    S_VALUES = [0.0, 1e-300, 0.05, 0.3, 1.0, 1.0 / 3.0, 7.25, 64.0]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_bit_identical_to_standalone_functions(self, params):
+        for s in self.S_VALUES:
+            got = cb.period_scalars(params, s)
+            want = (
+                cb.per_period_compute(params, s),
+                cb.prefetch_horizon(params, s),
+                cb.delta_t_pf(params, 1, s),
+                cb.min_profitable_probability(params, s),
+            )
+            assert [repr(v) for v in got] == [repr(v) for v in want], s
+
+    def test_cache_recomputes_only_when_s_moves(self):
+        cache = cb.PeriodScalarCache(P)
+        first = cache.get(0.0)
+        assert cache.get(0.0) is first
+        moved = cache.get(0.5)
+        assert moved is not first
+        assert moved == cb.period_scalars(P, 0.5)
+
+
 class TestPrefetchEvictionCost:
     def test_eq11_shape(self):
         """C_pr = p_b (T_driver + T_stall(x)) / (d_b - x)."""

@@ -314,6 +314,7 @@ class TestDrain:
             # drained connections read EOF, not a hang
             for client, _ in clients:
                 assert await client._reader.readline() == b""
+                await client.aclose()
             return drained, service.metrics.as_dict()
 
         service = PrefetchService()
@@ -341,12 +342,12 @@ class TestDrain:
             banner = proc.stdout.readline()
             assert "listening on" in banner
             port = int(banner.split(":")[-1].split()[0])
-            client = ServiceClient.connect(port=port, timeout=10.0)
-            session = client.open(policy="tree", cache_size=CACHE)
-            for block in _blocks(40):
-                client.observe(session, block)
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=20)
+            with ServiceClient.connect(port=port, timeout=10.0) as client:
+                session = client.open(policy="tree", cache_size=CACHE)
+                for block in _blocks(40):
+                    client.observe(session, block)
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=20)
         finally:
             if proc.poll() is None:
                 proc.kill()
